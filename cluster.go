@@ -32,8 +32,8 @@ type Cluster struct {
 	nodes     []*runtime.Node
 	keys      []*gcrypto.KeyPair
 	positions []geo.Point
-	coreEng   []*core.Engine       // GPBFT mode (index-aligned, else nil)
-	pbftEng   []*pbft.Engine       // PBFT mode (index-aligned, else nil)
+	coreEng   []*core.Engine        // GPBFT mode (index-aligned, else nil)
+	pbftEng   []*pbft.Engine        // PBFT mode (index-aligned, else nil)
 	snaps     []*store.MemSnapshots // per-node snapshot stores (nil unless Options.Snapshots)
 
 	metrics *Metrics

@@ -3,8 +3,8 @@
 // benchmark trajectory files (BENCH_tps.json, BENCH_latency.json).
 //
 // Default run (no flags): the full suite — a deterministic simnet run
-// at committee 22 plus wall-clock TCP runs with the parallel and
-// serial verification paths — merged into the trajectory files.
+// at committee 22 plus wall-clock TCP runs with the pipelined and the
+// one-slot scheduler — merged into the trajectory files.
 //
 //	gpbft-bench                         # full suite, update BENCH_*.json
 //	gpbft-bench -quick                  # small deterministic sim run only
@@ -40,9 +40,7 @@ func main() {
 		batch     = flag.Int("batch", 32, "max transactions per block")
 		shards    = flag.Int("shards", 0, "mempool shard count (0 = default)")
 		poolCap   = flag.Int("pool-cap", 0, "mempool capacity (0 = default)")
-		workers   = flag.Int("workers", 0, "verification pool width (0 = all cores)")
 		inflight  = flag.Int("max-inflight", 0, "consensus pipelining depth (0 = engine default, 1 = one-slot ablation)")
-		serial    = flag.Bool("serial", false, "serial ablation: seed-equivalent verification path")
 		gossip    = flag.Bool("gossip", false, "epidemic relay dissemination instead of direct all-to-all broadcast")
 		fanout    = flag.Int("fanout", 0, "relay fanout for -gossip (0 = auto, ~log2 n)")
 		sweep     = flag.Bool("sweep", false, "gossip committee-size sweep (n = 22, 46, 64, 100) with scalability gates")
@@ -64,7 +62,7 @@ func main() {
 		runs = planShardRuns(*seed)
 	default:
 		runs = planRuns(*quick, *mode, *committee, *rate, *duration, *batch, *shards, *poolCap,
-			*workers, *inflight, *serial, *gossip, *fanout, *seed, *name)
+			*inflight, *gossip, *fanout, *seed, *name)
 	}
 	if *attack {
 		runs = append(runs, planAttackRun(*attackers, *rateLimit, *seed, *name))
@@ -108,7 +106,7 @@ type plannedRun struct {
 
 // planRuns expands the flag set into the run list.
 func planRuns(quick bool, mode string, committee, rate int, duration time.Duration,
-	batch, shards, poolCap, workers, inflight int, serial, gossip bool, fanout int,
+	batch, shards, poolCap, inflight int, gossip bool, fanout int,
 	seed int64, name string) []plannedRun {
 	base := loadgen.Config{
 		Committee:     committee,
@@ -117,9 +115,7 @@ func planRuns(quick bool, mode string, committee, rate int, duration time.Durati
 		BatchSize:     batch,
 		MempoolShards: shards,
 		MempoolCap:    poolCap,
-		Workers:       workers,
 		MaxInFlight:   inflight,
-		Serial:        serial,
 		Gossip:        gossip,
 		GossipFanout:  fanout,
 		Seed:          seed,
@@ -148,9 +144,6 @@ func planRuns(quick bool, mode string, committee, rate int, duration time.Durati
 		n := name
 		if n == "" {
 			n = fmt.Sprintf("%s-c%d", mode, committee)
-			if serial {
-				n += "-serial"
-			}
 			if inflight == 1 {
 				n += "-inflight1"
 			}
@@ -160,26 +153,19 @@ func planRuns(quick bool, mode string, committee, rate int, duration time.Durati
 		}
 		return []plannedRun{{name: n, cfg: cfg}}
 	}
-	// Full suite: deterministic sim trajectory plus the wall-clock
-	// serial-vs-parallel A/B at the paper's committee scale, and the
-	// pipelining ablation (parallel verification but one slot in flight)
-	// that isolates the scheduler's contribution from the crypto path's.
+	// Full suite: deterministic sim trajectory plus the wall-clock run
+	// at the paper's committee scale, and the pipelining ablation (one
+	// slot in flight) that isolates the scheduler's contribution.
 	sim := base
 	sim.Mode = "sim"
 	par := base
 	par.Mode = "tcp"
-	par.Serial = false
-	ser := base
-	ser.Mode = "tcp"
-	ser.Serial = true
 	one := base
 	one.Mode = "tcp"
-	one.Serial = false
 	one.MaxInFlight = 1
 	return []plannedRun{
 		{name: fmt.Sprintf("sim-c%d", committee), cfg: sim},
 		{name: fmt.Sprintf("tcp-c%d-parallel", committee), cfg: par},
-		{name: fmt.Sprintf("tcp-c%d-serial", committee), cfg: ser},
 		{name: fmt.Sprintf("tcp-c%d-inflight1", committee), cfg: one},
 	}
 }

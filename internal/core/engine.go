@@ -45,7 +45,7 @@ type Config struct {
 	CheckpointInterval uint64
 	ViewChangeTimeout  time.Duration
 	// MaxInFlight bounds how many consensus slots the inner engines
-	// pipeline concurrently (0 = pbft default; 1 = serial ablation).
+	// pipeline concurrently (0 = pbft default; 1 = one-slot ablation).
 	MaxInFlight int
 
 	// EraPeriod / SwitchPeriod override the chain policy when non-zero.

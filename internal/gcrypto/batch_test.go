@@ -97,6 +97,8 @@ func TestVerifyBatchEmpty(t *testing.T) {
 func TestVerifyBatchSingle(t *testing.T) {
 	assertEquivalent(t, batchFixture(t, 1))
 	assertEquivalent(t, corrupt(batchFixture(t, 1), 0))
+	// Below minParallelBatch the batch runs inline on the caller.
+	assertEquivalent(t, corrupt(batchFixture(t, minParallelBatch-1), 1))
 }
 
 // TestVerifyBatchLargerThanPool exercises the work-stealing path with
@@ -114,22 +116,10 @@ func TestVerifyBatchLargerThanPool(t *testing.T) {
 // pubkey, wrong address) alongside signature failures.
 func TestVerifyBatchMixedFailures(t *testing.T) {
 	items := batchFixture(t, 8)
-	items[1].Pub = items[1].Pub[:5]     // bad key size
-	items[3].Addr = Address{}           // address/key mismatch
-	items[5].Sig = nil                  // empty signature
-	items = corrupt(items, 6)           // bad signature bytes
-	assertEquivalent(t, items)
-}
-
-// TestVerifyBatchSerialSetting pins SetBatchWorkers(1) to the serial
-// path and confirms identical results, then restores the default.
-func TestVerifyBatchSerialSetting(t *testing.T) {
-	prev := SetBatchWorkers(1)
-	defer SetBatchWorkers(prev)
-	if BatchWorkers() != 1 {
-		t.Fatalf("BatchWorkers() = %d after SetBatchWorkers(1)", BatchWorkers())
-	}
-	items := corrupt(batchFixture(t, 9), 4)
+	items[1].Pub = items[1].Pub[:5] // bad key size
+	items[3].Addr = Address{}       // address/key mismatch
+	items[5].Sig = nil              // empty signature
+	items = corrupt(items, 6)       // bad signature bytes
 	assertEquivalent(t, items)
 }
 

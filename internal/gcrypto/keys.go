@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 )
 
 // AddressSize is the byte length of a chain address (truncated SHA-256
@@ -129,23 +128,6 @@ func AddressOf(pub PublicKey) Address {
 	return a
 }
 
-// verifyEnabled gates actual ed25519 verification. Large simulation
-// sweeps disable it: the discrete-event simulator already charges
-// message-processing cost explicitly (ProcTime includes crypto), so
-// re-executing the arithmetic only burns wall-clock time without
-// changing any simulated quantity. All tests and real transports keep
-// it on (the default).
-var verifyEnabled atomic.Bool
-
-func init() { verifyEnabled.Store(true) }
-
-// SetVerification toggles real signature verification; returns the
-// previous setting.
-func SetVerification(on bool) bool { return verifyEnabled.Swap(on) }
-
-// VerificationEnabled reports whether real verification is active.
-func VerificationEnabled() bool { return verifyEnabled.Load() }
-
 // Verify checks sig over msg against pub, also confirming that pub
 // hashes to addr (binding signature, key and account).
 func Verify(pub PublicKey, addr Address, msg, sig []byte) error {
@@ -154,12 +136,6 @@ func Verify(pub PublicKey, addr Address, msg, sig []byte) error {
 	}
 	if AddressOf(pub) != addr {
 		return fmt.Errorf("gcrypto: public key does not match address %s", addr.Short())
-	}
-	if !verifyEnabled.Load() {
-		if len(sig) != ed25519.SignatureSize {
-			return ErrBadSignature
-		}
-		return nil
 	}
 	if !ed25519.Verify(pub, msg, sig) {
 		return ErrBadSignature

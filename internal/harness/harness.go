@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"gpbft"
-	"gpbft/internal/gcrypto"
 	"gpbft/internal/stats"
 )
 
@@ -46,12 +45,6 @@ type Config struct {
 
 	// Profile is the simulated hardware/network model.
 	Profile gpbft.NetworkProfile
-
-	// RealCrypto re-enables actual ed25519 verification inside the
-	// simulator. Off by default: the DES already charges per-message
-	// processing cost (ProcTime), so real verification only burns
-	// wall-clock time without changing simulated results.
-	RealCrypto bool
 
 	// DrainCap bounds how long a run may take to drain its queue.
 	DrainCap time.Duration
@@ -85,16 +78,6 @@ func Quick() Config {
 	return c
 }
 
-// cryptoOff disables simulated signature verification for the scope
-// of an experiment and returns a restore function.
-func (c *Config) cryptoOff() func() {
-	if c.RealCrypto {
-		return func() {}
-	}
-	prev := gcrypto.SetVerification(false)
-	return func() { gcrypto.SetVerification(prev) }
-}
-
 // clusterOptions assembles cluster options for one run.
 func (c *Config) clusterOptions(proto gpbft.Protocol, n int, seed int64) gpbft.Options {
 	o := gpbft.DefaultOptions(proto, n)
@@ -117,9 +100,6 @@ func (c *Config) clusterOptions(proto gpbft.Protocol, n int, seed int64) gpbft.O
 // proposes at a constant frequency for LoadWindow; the run returns the
 // consensus latency of every committed transaction, in seconds.
 func (c *Config) MeasureLatencyRun(proto gpbft.Protocol, n int, seed int64) ([]float64, error) {
-	restore := c.cryptoOff()
-	defer restore()
-
 	cl, err := gpbft.NewCluster(c.clusterOptions(proto, n, seed))
 	if err != nil {
 		return nil, err
@@ -159,9 +139,6 @@ func (c *Config) MeasureLatencyRun(proto gpbft.Protocol, n int, seed int64) ([]f
 // one transaction in each experiment"). Returns total kilobytes and
 // message count attributable to that transaction's consensus.
 func (c *Config) MeasureCommCost(proto gpbft.Protocol, n int, seed int64) (float64, int64, error) {
-	restore := c.cryptoOff()
-	defer restore()
-
 	o := c.clusterOptions(proto, n, seed)
 	// Background era churn would pollute the single-tx measurement.
 	o.ForceEraSwitch = false

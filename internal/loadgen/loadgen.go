@@ -9,11 +9,6 @@ import (
 	"fmt"
 	"runtime"
 	"time"
-
-	"gpbft/internal/consensus"
-	"gpbft/internal/gcrypto"
-	"gpbft/internal/transport"
-	"gpbft/internal/types"
 )
 
 // Config describes one load run.
@@ -34,16 +29,9 @@ type Config struct {
 	// MempoolShards / MempoolCap configure each node's pool (0 = defaults).
 	MempoolShards int
 	MempoolCap    int
-	// Workers overrides the verification pool width for the run
-	// (0 = GOMAXPROCS). Ignored when Serial is set.
-	Workers int
 	// MaxInFlight is the consensus pipelining depth handed to the
 	// engines (0 = engine default; 1 = the serial one-slot ablation).
 	MaxInFlight int
-	// Serial selects the ablation baseline: serial verification, no
-	// signature/envelope memoization, no pipelined pre-verification —
-	// the seed's behaviour.
-	Serial bool
 	// Seed drives deterministic choices (sim mode scheduling, keys).
 	Seed int64
 
@@ -113,12 +101,6 @@ func (c *Config) withDefaults() Config {
 	if out.Attackers > 0 && out.AttackFactor <= 0 {
 		out.AttackFactor = 5
 	}
-	// The seed's scheduler was one-slot-at-a-time, so the full serial
-	// ablation pins the pipelining depth to 1 alongside the
-	// verification knobs (an explicit MaxInFlight still wins).
-	if out.Serial && out.MaxInFlight == 0 {
-		out.MaxInFlight = 1
-	}
 	return out
 }
 
@@ -127,8 +109,6 @@ type Result struct {
 	Name      string  `json:"name"`
 	Mode      string  `json:"mode"`
 	Committee int     `json:"committee"`
-	Serial    bool    `json:"serial"`
-	Workers   int     `json:"workers"`
 	Cores     int     `json:"cores"`
 	RateTPS   int     `json:"rate_tps"`
 	Offered   int     `json:"offered"`
@@ -137,6 +117,11 @@ type Result struct {
 	TPS       float64 `json:"tps"`
 	P50Ms     float64 `json:"p50_ms"`
 	P99Ms     float64 `json:"p99_ms"`
+	// MaxLatenessMs is how far behind its schedule the TCP load
+	// generator fell at worst. Latency is timed from each scheduled
+	// send, so lateness already counts against P50/P99; a large value
+	// says the generator, not only the cluster, was the bottleneck.
+	MaxLatenessMs float64 `json:"max_lateness_ms,omitempty"`
 	// Attack-run extras (zero and omitted for plain runs): what the
 	// flooders offered and how much of it the armor turned away.
 	Attackers       int    `json:"attackers,omitempty"`
@@ -165,46 +150,19 @@ type Result struct {
 }
 
 func (r Result) String() string {
-	mode := "parallel"
-	if r.Serial {
-		mode = "serial"
+	s := fmt.Sprintf("%s [%s c=%d cores=%d] offered=%d committed=%d tps=%.1f p50=%.1fms p99=%.1fms",
+		r.Name, r.Mode, r.Committee, r.Cores, r.Offered, r.Committed, r.TPS, r.P50Ms, r.P99Ms)
+	if r.MaxLatenessMs > 0 {
+		s += fmt.Sprintf(" max-lateness=%.1fms", r.MaxLatenessMs)
 	}
-	return fmt.Sprintf("%s [%s/%s c=%d cores=%d] offered=%d committed=%d tps=%.1f p50=%.1fms p99=%.1fms",
-		r.Name, r.Mode, mode, r.Committee, r.Cores, r.Offered, r.Committed, r.TPS, r.P50Ms, r.P99Ms)
-}
-
-// engineMode flips every serial-vs-parallel knob as a set and returns
-// a restore function. Serial reproduces the seed's hot path: one-at-a-
-// time signature checks on the consensus goroutine with no caching.
-func engineMode(serial bool, workers int) (restore func()) {
-	if serial {
-		workers = 1
-	}
-	prevW := gcrypto.SetBatchWorkers(workers)
-	prevC := types.SetSigCache(!serial)
-	prevM := consensus.SetVerifyMemo(!serial)
-	prevP := transport.SetPreVerify(!serial)
-	prevS := consensus.SetRequestSealCheck(serial)
-	return func() {
-		gcrypto.SetBatchWorkers(prevW)
-		types.SetSigCache(prevC)
-		consensus.SetVerifyMemo(prevM)
-		transport.SetPreVerify(prevP)
-		consensus.SetRequestSealCheck(prevS)
-	}
+	return s
 }
 
 // Run executes one load run per the config.
 func Run(name string, cfg Config) (Result, error) {
 	c := cfg.withDefaults()
-	restore := engineMode(c.Serial, c.Workers)
-	defer restore()
-	// Capture the run's effective parallelism while the engine-mode
-	// window is active: BatchWorkers resolves the 0 = GOMAXPROCS default
-	// to what the verification pool will actually use, and GOMAXPROCS is
-	// what the scheduler grants (not the machine's nominal NumCPU) — so
-	// A/B entries in the bench files are distinguishable.
-	effWorkers := gcrypto.BatchWorkers()
+	// GOMAXPROCS is what the scheduler grants (not the machine's
+	// nominal NumCPU), so entries from different hosts stay comparable.
 	effCores := runtime.GOMAXPROCS(0)
 
 	var (
@@ -229,9 +187,7 @@ func Run(name string, cfg Config) (Result, error) {
 	res.Name = name
 	res.Mode = c.Mode
 	res.Committee = c.Committee
-	res.Serial = c.Serial
 	res.Cores = effCores
-	res.Workers = effWorkers
 	res.RateTPS = c.Rate
 	return res, nil
 }

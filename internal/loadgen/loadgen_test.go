@@ -4,6 +4,10 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"gpbft/internal/gcrypto"
+	"gpbft/internal/stats"
+	"gpbft/internal/types"
 )
 
 func TestReportRoundtripAndCompare(t *testing.T) {
@@ -97,20 +101,32 @@ func TestRunTCPSmall(t *testing.T) {
 	}
 }
 
-// TestRunSerialKnobsRestored: Run must restore every global
-// verification knob it flips for the serial ablation.
-func TestRunSerialKnobsRestored(t *testing.T) {
-	restore := engineMode(false, 0)
-	restore()
-	if _, err := Run("serial-sim", Config{Mode: "sim", Committee: 4, Rate: 50, Duration: time.Second, Serial: true}); err != nil {
-		t.Fatal(err)
+// TestSlowSubmitCountsInLatency: a submit that blocks longer than the
+// send interval delays every later send. Latency is timed from each
+// scheduled send, so that backlog must show up in p50; timing from the
+// actual send would report only the 20 ms each submit takes.
+func TestSlowSubmitCountsInLatency(t *testing.T) {
+	const n = 20
+	const slow = 20 * time.Millisecond
+	rec := &latencyRecorder{submits: make(map[gcrypto.Hash]time.Time)}
+	txs := make([]*types.Transaction, n)
+	for k := range txs {
+		txs[k] = &types.Transaction{Type: types.TxNormal, Nonce: uint64(k + 1)}
 	}
-	// After a serial run the parallel defaults must be back.
-	res, err := Run("parallel-sim", Config{Mode: "sim", Committee: 4, Rate: 50, Duration: time.Second})
-	if err != nil {
-		t.Fatal(err)
+	lateness := offerPaced(rec, txs, time.Now(), time.Millisecond, func(k int) {
+		time.Sleep(slow)
+		rec.observe(&types.Block{Txs: []types.Transaction{*txs[k]}}, time.Now())
+	})
+	committed, _, lat := rec.snapshot()
+	if committed != n {
+		t.Fatalf("committed %d of %d", committed, n)
 	}
-	if res.Serial {
-		t.Fatalf("parallel run marked serial: %+v", res)
+	// Send k goes out at least k x 19 ms behind schedule, so the median
+	// tx waits ~190 ms before its own 20 ms submit even starts.
+	if p50 := stats.Quantile(lat, 0.50); p50 < 100 {
+		t.Fatalf("p50 %.1fms hides the generator's backlog", p50)
+	}
+	if lateness < 10*slow {
+		t.Fatalf("max lateness %v, want >= %v", lateness, 10*slow)
 	}
 }

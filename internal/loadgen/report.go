@@ -21,8 +21,6 @@ type Entry struct {
 	Name      string  `json:"name"`
 	Mode      string  `json:"mode"`
 	Committee int     `json:"committee"`
-	Serial    bool    `json:"serial"`
-	Workers   int     `json:"workers"`
 	Cores     int     `json:"cores"`
 	Offered   int     `json:"offered"`
 	Committed int     `json:"committed"`
@@ -48,8 +46,8 @@ const (
 // TPSEntry projects a result into the TPS trajectory.
 func (r Result) TPSEntry() Entry {
 	e := Entry{
-		Name: r.Name, Mode: r.Mode, Committee: r.Committee, Serial: r.Serial,
-		Workers: r.Workers, Cores: r.Cores, Offered: r.Offered, Committed: r.Committed,
+		Name: r.Name, Mode: r.Mode, Committee: r.Committee, Cores: r.Cores,
+		Offered: r.Offered, Committed: r.Committed,
 		Value: round2(r.TPS), When: time.Now().UTC().Format(time.RFC3339),
 	}
 	r.attackExtras(&e)
@@ -59,8 +57,8 @@ func (r Result) TPSEntry() Entry {
 // LatencyEntry projects a result into the latency trajectory.
 func (r Result) LatencyEntry() Entry {
 	e := Entry{
-		Name: r.Name, Mode: r.Mode, Committee: r.Committee, Serial: r.Serial,
-		Workers: r.Workers, Cores: r.Cores, Offered: r.Offered, Committed: r.Committed,
+		Name: r.Name, Mode: r.Mode, Committee: r.Committee, Cores: r.Cores,
+		Offered: r.Offered, Committed: r.Committed,
 		P50Ms: round2(r.P50Ms), P99Ms: round2(r.P99Ms), When: time.Now().UTC().Format(time.RFC3339),
 	}
 	r.attackExtras(&e)

@@ -56,11 +56,32 @@ func (r *latencyRecorder) snapshot() (committed int, last time.Time, lat []float
 	return r.committed, r.lastCommit, append([]float64(nil), r.latencies...)
 }
 
+// offerPaced offers txs open-loop, one every interval from start,
+// calling submit(k) for each. Each latency clock starts at the tx's
+// scheduled send time, not when it actually went out: a late send (a
+// slow submit, a descheduled generator) then counts against latency
+// instead of hiding behind it (coordinated omission). It returns the
+// generator's worst lateness behind its schedule.
+func offerPaced(rec *latencyRecorder, txs []*types.Transaction, start time.Time, interval time.Duration, submit func(k int)) time.Duration {
+	var worst time.Duration
+	for k, tx := range txs {
+		target := start.Add(time.Duration(k) * interval)
+		if d := time.Until(target); d > 0 {
+			time.Sleep(d)
+		}
+		if late := time.Since(target); late > worst {
+			worst = late
+		}
+		rec.submit(tx.ID(), target)
+		submit(k)
+	}
+	return worst
+}
+
 // runTCP builds an in-process TCP cluster — every endorser a real
 // runtime.Node behind its own transport endpoint on 127.0.0.1 — and
 // offers load at the configured rate, measuring wall-clock committed
-// TPS and commit latency. This is the mode where the serial-vs-
-// parallel verification knobs show up as real time.
+// TPS and commit latency.
 func runTCP(c Config) (Result, error) {
 	n := c.Committee
 	epoch := time.Now()
@@ -214,14 +235,9 @@ func runTCP(c Config) (Result, error) {
 
 	// Offer load at the configured rate, round-robin across nodes.
 	start := time.Now()
-	interval := c.Duration / time.Duration(total)
-	for k := 0; k < total; k++ {
-		if target := start.Add(time.Duration(k) * interval); time.Until(target) > 0 {
-			time.Sleep(time.Until(target))
-		}
-		rec.submit(txs[k].ID(), time.Now())
+	lateness := offerPaced(rec, txs, start, c.Duration/time.Duration(total), func(k int) {
 		_ = runners[k%n].Submit(txs[k])
-	}
+	})
 
 	// Drain: stop when everything offered has committed, or commits
 	// stall, or the hard cap expires.
@@ -250,12 +266,13 @@ func runTCP(c Config) (Result, error) {
 		elapsed = time.Since(start).Seconds()
 	}
 	res := Result{
-		Offered:   total,
-		Committed: committed,
-		Elapsed:   elapsed,
-		TPS:       float64(committed) / elapsed,
-		P50Ms:     stats.Quantile(lat, 0.50),
-		P99Ms:     stats.Quantile(lat, 0.99),
+		Offered:       total,
+		Committed:     committed,
+		Elapsed:       elapsed,
+		TPS:           float64(committed) / elapsed,
+		P50Ms:         stats.Quantile(lat, 0.50),
+		P99Ms:         stats.Quantile(lat, 0.99),
+		MaxLatenessMs: float64(lateness) / float64(time.Millisecond),
 	}
 	if c.Gossip {
 		fillRelayResult(&res, n, chains[0].Head().Header.Height, func(i int) (consensus.RelayStats, int) {

@@ -74,7 +74,7 @@ type Config struct {
 	ViewChangeTimeout time.Duration
 	// MaxInFlight bounds how many sequence numbers run concurrently
 	// (clamped to the watermark window). Zero selects the default; 1 is
-	// the serial ablation.
+	// the one-slot ablation.
 	MaxInFlight int
 	// WAL, when set, receives every vote before it is sent
 	// (persist-before-send); nil disables durability (tests, or
@@ -480,14 +480,9 @@ func (e *Engine) onRequestEnv(now consensus.Time, env *consensus.Envelope) []con
 	// verified. A forged From can at most trigger one extra relay round
 	// (member relays are terminal), the same exposure an unattributed
 	// client submission already has; a tampered body fails the
-	// transaction check. The serial ablation baseline re-enables the
-	// seal check to reproduce the seed's verification stack.
-	open := consensus.OpenUnverified
-	if consensus.RequestSealCheck() {
-		open = consensus.Open
-	}
+	// transaction check.
 	var req Request
-	if err := open(env, consensus.KindRequest, &req); err != nil {
+	if err := consensus.OpenUnverified(env, consensus.KindRequest, &req); err != nil {
 		return nil
 	}
 	// VerifyCached: a relayed transaction has usually already been

@@ -31,7 +31,7 @@ const MaxRegions = 9
 
 // Errors returned by the partitioner.
 var (
-	ErrBadPrefixLen = errors.New("shard: prefix length out of range")
+	ErrBadPrefixLen   = errors.New("shard: prefix length out of range")
 	ErrTooManyRegions = fmt.Errorf("shard: more than %d regions", MaxRegions)
 )
 

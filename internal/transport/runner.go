@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpbft/internal/consensus"
@@ -101,17 +100,6 @@ func (r *Runner) Submit(tx *types.Transaction) error {
 	return <-errCh
 }
 
-// preVerifyEnabled gates the runner's pipelined verification stage;
-// the serial ablation baseline in gpbft-bench turns it off so incoming
-// envelopes hit the event loop unverified, as the seed did.
-var preVerifyEnabled atomic.Bool
-
-func init() { preVerifyEnabled.Store(true) }
-
-// SetPreVerify toggles pipelined envelope pre-verification for all
-// runners; returns the previous setting.
-func SetPreVerify(on bool) bool { return preVerifyEnabled.Swap(on) }
-
 // verifyJob is one incoming envelope in flight through the
 // pre-verification stage.
 type verifyJob struct {
@@ -180,9 +168,7 @@ func (r *Runner) startPipeline(ctx context.Context) <-chan *consensus.Envelope {
 	for i := 0; i < workers; i++ {
 		go func() {
 			for job := range work {
-				if preVerifyEnabled.Load() {
-					preVerify(job.env)
-				}
+				preVerify(job.env)
 				close(job.done)
 			}
 		}()

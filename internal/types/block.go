@@ -234,7 +234,6 @@ func (c *Certificate) Verify(blockHash gcrypto.Hash, keys map[gcrypto.Address]gc
 	items := make([]gcrypto.BatchItem, 0, len(c.Votes))
 	keys2 := make([]gcrypto.Hash, 0, len(c.Votes))
 	valid := 0
-	useCache := sigCacheUsable()
 	for i := range c.Votes {
 		v := &c.Votes[i]
 		if seen[v.Endorser] {
@@ -248,14 +247,12 @@ func (c *Certificate) Verify(blockHash gcrypto.Hash, keys map[gcrypto.Address]gc
 		// Votes the consensus tally already accepted (see
 		// VerifyVoteCached) are served from the cache; only the rest hit
 		// the verification pool.
-		if useCache {
-			key := voteCacheKey(v.Endorser, digest, v.Signature)
-			if sigCacheLookup(key) {
-				valid++
-				continue
-			}
-			keys2 = append(keys2, key)
+		key := voteCacheKey(v.Endorser, digest, v.Signature)
+		if sigCacheLookup(key) {
+			valid++
+			continue
 		}
+		keys2 = append(keys2, key)
 		items = append(items, gcrypto.BatchItem{Pub: pub, Addr: v.Endorser, Msg: digest, Sig: v.Signature})
 	}
 	// The per-vote checks fan out over the verification pool; a vote
@@ -263,9 +260,7 @@ func (c *Certificate) Verify(blockHash gcrypto.Hash, keys map[gcrypto.Address]gc
 	for k, err := range gcrypto.VerifyBatch(items) {
 		if err == nil {
 			valid++
-			if useCache {
-				sigCacheStore(keys2[k])
-			}
+			sigCacheStore(keys2[k])
 		}
 	}
 	if valid < quorum {

@@ -15,8 +15,7 @@ import (
 // lock-striped cache keyed by (tx ID, signature); block validation
 // additionally fans the uncached checks out over the gcrypto worker
 // pool. Both layers preserve byte-exact accept/reject semantics with
-// the serial path: only successful verifications under real
-// (non-disabled) crypto are ever cached.
+// the serial path: only successful verifications are ever cached.
 
 // sigCacheStripes must be a power of two (the stripe index is masked).
 const sigCacheStripes = 64
@@ -32,18 +31,10 @@ type sigStripe struct {
 }
 
 var (
-	sigCache        [sigCacheStripes]sigStripe
-	sigCacheEnabled atomic.Bool
-	sigCacheHits    atomic.Uint64
-	sigCacheMisses  atomic.Uint64
+	sigCache       [sigCacheStripes]sigStripe
+	sigCacheHits   atomic.Uint64
+	sigCacheMisses atomic.Uint64
 )
-
-func init() { sigCacheEnabled.Store(true) }
-
-// SetSigCache toggles the verified-signature cache; returns the
-// previous setting. The serial ablation baseline in gpbft-bench turns
-// it off to reproduce seed behaviour.
-func SetSigCache(on bool) bool { return sigCacheEnabled.Swap(on) }
 
 // SigCacheStats reports cache hits and misses since process start.
 func SigCacheStats() (hits, misses uint64) {
@@ -93,22 +84,11 @@ func sigCacheStore(key gcrypto.Hash) {
 	}
 }
 
-// sigCacheUsable reports whether the cache may serve or record
-// verdicts. Verification verdicts recorded while real crypto is
-// disabled (simulation sweeps) would be unsound once re-enabled, so
-// the cache stands down entirely in that mode.
-func sigCacheUsable() bool {
-	return sigCacheEnabled.Load() && gcrypto.VerificationEnabled()
-}
-
 // VerifyCached is Verify with signature memoization: structural checks
 // always run (they are cheap and stateless), the ed25519 check is
 // skipped when this exact (content, signature) pair has already been
 // accepted. Accept/reject behaviour is identical to Verify.
 func (tx *Transaction) VerifyCached() error {
-	if !sigCacheUsable() {
-		return tx.Verify()
-	}
 	if err := tx.verifyStructure(); err != nil {
 		return err
 	}
@@ -136,12 +116,8 @@ func voteCacheKey(endorser gcrypto.Address, digest, sig []byte) gcrypto.Hash {
 // the hot path — once as the vote arrives (consensus tallying) and
 // again when the assembled certificate is validated at block commit —
 // and the second check is always a replay of the first. Accept/reject
-// behaviour is identical to gcrypto.Verify; only successes under real
-// crypto are cached.
+// behaviour is identical to gcrypto.Verify; only successes are cached.
 func VerifyVoteCached(pub gcrypto.PublicKey, endorser gcrypto.Address, digest, sig []byte) error {
-	if !sigCacheUsable() {
-		return gcrypto.Verify(pub, endorser, digest, sig)
-	}
 	key := voteCacheKey(endorser, digest, sig)
 	if sigCacheLookup(key) {
 		return nil
@@ -163,13 +139,6 @@ func VerifyTxs(txs []Transaction) []error {
 	if len(txs) == 0 {
 		return errs
 	}
-	if !sigCacheUsable() && gcrypto.BatchWorkers() <= 1 {
-		for i := range txs {
-			errs[i] = txs[i].Verify()
-		}
-		return errs
-	}
-	useCache := sigCacheUsable()
 	// Pass 1: structure, cache lookups, and batch assembly.
 	items := make([]gcrypto.BatchItem, 0, len(txs))
 	itemIdx := make([]int, 0, len(txs))
@@ -180,11 +149,9 @@ func VerifyTxs(txs []Transaction) []error {
 			errs[i] = err
 			continue
 		}
-		if useCache {
-			keys[i] = sigCacheKey(tx)
-			if sigCacheLookup(keys[i]) {
-				continue
-			}
+		keys[i] = sigCacheKey(tx)
+		if sigCacheLookup(keys[i]) {
+			continue
 		}
 		items = append(items, gcrypto.BatchItem{
 			Pub:  tx.SenderPub,
@@ -201,9 +168,7 @@ func VerifyTxs(txs []Transaction) []error {
 			errs[i] = wrapTxSigError(err)
 			continue
 		}
-		if useCache {
-			sigCacheStore(keys[i])
-		}
+		sigCacheStore(keys[i])
 	}
 	return errs
 }
@@ -215,8 +180,5 @@ func VerifyTxs(txs []Transaction) []error {
 // follows runs at cache speed. Failures are ignored here; the serial
 // validation path re-derives and reports them authoritatively.
 func PrewarmTxs(txs []Transaction) {
-	if !sigCacheUsable() {
-		return
-	}
 	_ = VerifyTxs(txs)
 }

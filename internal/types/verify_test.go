@@ -67,7 +67,8 @@ func TestVerifyTxsEmpty(t *testing.T) {
 }
 
 // TestVerifyTxsBadEveryPosition plants one failure at each index in
-// turn — alternating structural and signature failures.
+// turn — cycling through signature, structural and nil-signature
+// failures.
 func TestVerifyTxsBadEveryPosition(t *testing.T) {
 	const n = 8
 	for bad := 0; bad < n; bad++ {
@@ -75,11 +76,14 @@ func TestVerifyTxsBadEveryPosition(t *testing.T) {
 		for i := range txs {
 			txs[i] = signedTx(t, 100*bad+i)
 		}
-		if bad%2 == 0 {
+		switch bad % 3 {
+		case 0:
 			txs[bad].Signature = append([]byte(nil), txs[bad].Signature...)
 			txs[bad].Signature[0] ^= 0xFF // signature failure
-		} else {
+		case 1:
 			txs[bad].Geo.Timestamp = time.Time{} // structural failure
+		case 2:
+			txs[bad].Signature = nil
 		}
 		assertTxEquivalent(t, txs)
 	}
@@ -104,35 +108,6 @@ func TestVerifyCachedRejectsMutation(t *testing.T) {
 	if err := resigned.VerifyCached(); err == nil {
 		t.Fatal("tampered signature accepted from cache")
 	}
-}
-
-// TestSigCacheDisabledCrypto: verdicts must not be cached (or served)
-// while gcrypto verification is globally disabled, or a later
-// re-enable would accept unverified signatures.
-func TestSigCacheDisabledCrypto(t *testing.T) {
-	tx := signedTx(t, 2)
-	tx.Signature = append([]byte(nil), tx.Signature...)
-	tx.Signature[0] ^= 0xFF // invalid signature
-
-	prev := gcrypto.SetVerification(false)
-	if err := tx.VerifyCached(); err != nil {
-		t.Fatalf("with crypto off, bad signature should pass: %v", err)
-	}
-	gcrypto.SetVerification(true)
-	if err := tx.VerifyCached(); err == nil {
-		t.Fatal("bad signature accepted after re-enabling crypto")
-	}
-	gcrypto.SetVerification(prev)
-}
-
-// TestSigCacheToggle: SetSigCache(false) must route through the plain
-// serial path.
-func TestSigCacheToggle(t *testing.T) {
-	prev := SetSigCache(false)
-	defer SetSigCache(prev)
-	txs := []Transaction{signedTx(t, 3), signedTx(t, 4)}
-	txs[1].Signature = nil
-	assertTxEquivalent(t, txs)
 }
 
 // TestVerifyTxsConcurrent hammers the striped cache from many
