@@ -92,7 +92,8 @@ func TestKillRestartRecovery(t *testing.T) {
 	h0 := waitHeight(t, metricsPort+0, 3, 60*time.Second, "initial block production on node 0")
 
 	// The overload-armor observability surface must be in the scrape:
-	// admission counters by reason plus per-lane mempool depth gauges.
+	// admission counters by reason plus per-lane mempool depth gauges,
+	// and the catch-up counter for pulls started by overheard commits.
 	assertMetricsSeries(t, metricsPort+0,
 		"gpbft_admission_accepted_total",
 		`gpbft_admission_rejected_total{reason="rate-limit"}`,
@@ -103,6 +104,7 @@ func TestKillRestartRecovery(t *testing.T) {
 		`gpbft_mempool_lane_depth{lane="normal"}`,
 		`gpbft_mempool_lane_depth{lane="bulk"}`,
 		"gpbft_mempool_evicted_shed_total",
+		"gpbft_sync_lag_pulls_total",
 	)
 
 	// SIGKILL node 0 mid-era: no shutdown hooks, no flushes beyond

@@ -35,6 +35,7 @@ var (
 	ErrOversize    = errors.New("codec: length prefix exceeds limit")
 	ErrTrailing    = errors.New("codec: trailing bytes after decode")
 	ErrNonMinimal  = errors.New("codec: non-minimal varint encoding")
+	ErrBadBool     = errors.New("codec: boolean byte other than 0 or 1")
 )
 
 // Writer accumulates a canonical encoding. The zero value is ready to
@@ -177,8 +178,16 @@ func (r *Reader) Uint8() uint8 {
 	return b[0]
 }
 
-// Bool reads a boolean byte.
-func (r *Reader) Bool() bool { return r.Uint8() != 0 }
+// Bool reads a boolean byte. Only 0 and 1 are accepted, so a decoded
+// value has exactly one encoding.
+func (r *Reader) Bool() bool {
+	v := r.Uint8()
+	if v > 1 {
+		r.fail(ErrBadBool)
+		return false
+	}
+	return v == 1
+}
 
 // Uint16 reads a big-endian uint16.
 func (r *Reader) Uint16() uint16 {

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -223,4 +224,15 @@ func appendUvarintForTest(buf []byte, v uint64) []byte {
 		v >>= 7
 	}
 	return append(buf, byte(v))
+}
+
+// TestNonCanonicalBoolRejected: a boolean has one encoding per value,
+// so any byte other than 0 or 1 is a decode error rather than "true".
+func TestNonCanonicalBoolRejected(t *testing.T) {
+	for _, b := range []byte{2, 0x30, 0xff} {
+		r := NewReader([]byte{b})
+		if r.Bool() || !errors.Is(r.Err(), ErrBadBool) {
+			t.Fatalf("byte %#x: decoded without ErrBadBool (err %v)", b, r.Err())
+		}
+	}
 }

@@ -148,6 +148,23 @@ func Seal(kp *gcrypto.KeyPair, p Payload) *Envelope {
 	return e
 }
 
+// Unsealed wraps a payload in an envelope attributed to kp but carrying
+// no signature. It is only for self-authenticating payloads — a relayed
+// client transaction signs its own full content — which receivers open
+// with OpenUnverified, so a seal on them would cost one signature per
+// relay and 64 bytes per frame while proving nothing. Never use it for
+// a payload whose authenticity is the envelope itself (consensus votes,
+// checkpoints, view changes, sync answers): Verify, and so Open, fails
+// on an unsealed envelope.
+func Unsealed(kp *gcrypto.KeyPair, p Payload) *Envelope {
+	return &Envelope{
+		MsgKind: p.Kind(),
+		From:    kp.Address(),
+		FromPub: append([]byte(nil), kp.Public()...),
+		Body:    codec.Encode(p),
+	}
+}
+
 // verifySum digests every field Verify covers (including the public
 // key and signature, which envelopeDigest omits), so a memoized
 // verdict can be tied to the exact bytes that were checked.

@@ -438,11 +438,15 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 }
 
 // maybeLagSync turns overheard commit votes for heights we do not
-// have into a block-sync pull. Seeing a commit for seq beyond
-// height+1 means the committee finalized blocks this node missed —
-// the restarted-mid-era case, where no EraAnnounce will arrive until
-// the era actually switches. The vote itself still flows to the
-// inner engine; the pull runs alongside it.
+// have into a block-sync pull. A commit for seq beyond height+1 is
+// evidence of lag only when the inner engine lacks an accepted
+// proposal, in its current view, for some slot between the head and
+// seq: with pipelining, commits for slots above the head are the
+// normal case while the window is full. The restarted-mid-era case
+// (no instances, and no EraAnnounce until the era actually switches),
+// a replica missing a pre-prepare, and one whose window the committee
+// has left behind still pull at once. The vote itself still flows to
+// the inner engine; the pull runs alongside it.
 func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 	if env.MsgKind != consensus.KindCommit {
 		return nil
@@ -459,6 +463,10 @@ func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 		}
 		return nil
 	}
+	head := e.chain.Height()
+	if e.inner != nil && e.inner.HoldsProposals(head+1, seq-1) {
+		return nil
+	}
 	// A commit for seq proves blocks up to seq-1 exist on the sender's
 	// chain. Suppress duplicate pulls while one is in flight, but allow
 	// a re-request when the head keeps moving past the current target
@@ -466,12 +474,13 @@ func (e *Engine) maybeLagSync(env *consensus.Envelope) []consensus.Action {
 	if e.syncInFlight && e.syncTarget >= seq-1 {
 		return nil
 	}
+	e.sstats.lagPulls.Add(1)
 	if e.fastSyncDue(seq - 1) {
 		return e.startFastSync(seq - 1)
 	}
 	e.syncInFlight = true
 	e.syncTarget = seq - 1
-	req := consensus.Seal(e.cfg.Key, &SyncRequest{FromHeight: e.chain.Height() + 1})
+	req := consensus.Seal(e.cfg.Key, &SyncRequest{FromHeight: head + 1})
 	return e.armSyncRetry([]consensus.Action{consensus.Send{To: env.From, Env: req}})
 }
 
@@ -1014,7 +1023,7 @@ func (a *eraApp) BuildBlock(now consensus.Time, era, view, seq uint64) *types.Bl
 // build that would carry one returns nil instead, so the window drains
 // and the switch proposal goes out serially; nothing is ever built on
 // top of a config-carrying parent.
-func (a *eraApp) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, exclude map[gcrypto.Hash]bool) *types.Block {
+func (a *eraApp) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, packed [][]gcrypto.Hash) *types.Block {
 	app, ok := a.Application.(pbft.SpeculativeApplication)
 	if !ok {
 		return nil
@@ -1022,7 +1031,7 @@ func (a *eraApp) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent 
 	if blockHasConfig(parent) {
 		return nil // an era switch is landing; let it finish first
 	}
-	b := app.BuildBlockOn(now, era, view, seq, parent, exclude)
+	b := app.BuildBlockOn(now, era, view, seq, parent, packed)
 	if b == nil || blockHasConfig(b) {
 		return nil
 	}

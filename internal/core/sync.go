@@ -60,6 +60,7 @@ const maxSyncRetries = 6
 // metrics endpoint snapshots them from outside the event loop.
 type syncStats struct {
 	retries        atomic.Uint64
+	lagPulls       atomic.Uint64
 	blocksSynced   atomic.Uint64
 	snapsInstalled atomic.Uint64
 	snapsRejected  atomic.Uint64
@@ -73,6 +74,7 @@ type syncStats struct {
 func (e *Engine) SyncStats() runtime.SyncStats {
 	return runtime.SyncStats{
 		Retries:            e.sstats.retries.Load(),
+		LagPulls:           e.sstats.lagPulls.Load(),
 		BlocksSynced:       e.sstats.blocksSynced.Load(),
 		SnapshotsInstalled: e.sstats.snapsInstalled.Load(),
 		SnapshotsRejected:  e.sstats.snapsRejected.Load(),

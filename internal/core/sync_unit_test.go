@@ -128,6 +128,9 @@ func TestLaggingCommitTriggersSync(t *testing.T) {
 	if n := syncReqs(commitAt(h + 3)); n != 1 {
 		t.Fatalf("lagging commit spawned %d sync requests, want 1", n)
 	}
+	if got := endorser.SyncStats().LagPulls; got != 1 {
+		t.Fatalf("LagPulls = %d after one lag pull, want 1", got)
+	}
 	// While that pull is in flight, an equal-or-lower commit is quiet.
 	if n := syncReqs(commitAt(h + 3)); n != 0 {
 		t.Fatalf("duplicate lagging commit spawned %d requests", n)
@@ -136,6 +139,9 @@ func TestLaggingCommitTriggersSync(t *testing.T) {
 	// response: the next commit re-requests).
 	if n := syncReqs(commitAt(h + 6)); n != 1 {
 		t.Fatalf("higher lagging commit spawned %d requests, want 1", n)
+	}
+	if got := endorser.SyncStats().LagPulls; got != 2 {
+		t.Fatalf("LagPulls = %d after two lag pulls, want 2", got)
 	}
 }
 

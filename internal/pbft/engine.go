@@ -49,10 +49,12 @@ type Application interface {
 // regardless of MaxInFlight.
 type SpeculativeApplication interface {
 	// BuildBlockOn assembles the block at seq on top of parent,
-	// skipping transactions whose ID is in exclude (they are already
-	// packed into in-flight ancestors, but still sit in the pool until
-	// they commit). Nil means nothing to propose.
-	BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, exclude map[gcrypto.Hash]bool) *types.Block
+	// skipping the transactions packed into retained ancestors: they
+	// are already ordered, but still sit in the pool until their block
+	// is applied. packed[i] holds the tx IDs of the block at height
+	// seq-len(packed)+i (nil where none is retained). Nil means nothing
+	// to propose.
+	BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, packed [][]gcrypto.Hash) *types.Block
 	// ValidateBlockOn checks b as the immediate child of parent,
 	// independent of the chain head.
 	ValidateBlockOn(b, parent *types.Block) error
@@ -118,6 +120,27 @@ type instance struct {
 	prepared   bool
 	committed  bool
 	executed   bool
+	// txIDs caches the IDs of block's transactions: exclusion checks
+	// consult them on every request and proposal while the slot is
+	// retained, and an ID costs an encode plus a hash.
+	txIDs []gcrypto.Hash
+}
+
+// ids returns the IDs of the slot's block transactions, computing them
+// once per installed block.
+func (inst *instance) ids() []gcrypto.Hash {
+	if inst.txIDs == nil && inst.block != nil {
+		inst.txIDs = txIDs(inst.block)
+	}
+	return inst.txIDs
+}
+
+func txIDs(b *types.Block) []gcrypto.Hash {
+	ids := make([]gcrypto.Hash, len(b.Txs))
+	for i := range b.Txs {
+		ids[i] = b.Txs[i].ID()
+	}
+	return ids
 }
 
 func newInstance(view uint64) *instance {
@@ -294,6 +317,26 @@ func (e *Engine) InFlight() (used, depth int) {
 	return used, e.maxInFlight
 }
 
+// HoldsProposals reports whether every slot in [from, to] is executed
+// locally or holds an accepted proposal in the current view, outside a
+// view change. A commit for a slot above such a range is ordinary
+// pipelining, not a sign that this replica missed blocks.
+func (e *Engine) HoldsProposals(from, to uint64) bool {
+	if e.inViewChange {
+		return false
+	}
+	for s := from; s <= to; s++ {
+		if s < e.execNext {
+			continue
+		}
+		inst := e.insts[s]
+		if inst == nil || inst.view != e.view || inst.prePrepare == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // CompletedViewChanges returns how many view changes this replica has
 // completed.
 func (e *Engine) CompletedViewChanges() uint64 { return e.viewChangesFin }
@@ -380,7 +423,7 @@ func (e *Engine) OnRequest(now consensus.Time, tx *types.Transaction) []consensu
 	}
 	var acts []consensus.Action
 	if !e.inViewChange {
-		env := consensus.Seal(e.cfg.Key, &Request{Tx: *tx})
+		env := consensus.Unsealed(e.cfg.Key, &Request{Tx: *tx})
 		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
 	}
 	if e.IsPrimary() {
@@ -476,11 +519,11 @@ func (e *Engine) OnEnvelope(now consensus.Time, env *consensus.Envelope) []conse
 func (e *Engine) onRequestEnv(now consensus.Time, env *consensus.Envelope) []consensus.Action {
 	// OpenUnverified: a request envelope is a transport wrapper, not a
 	// vote — authenticity comes from the transaction's own signature
-	// (checked right below, memoized), so the relayer's seal is not
-	// verified. A forged From can at most trigger one extra relay round
-	// (member relays are terminal), the same exposure an unattributed
-	// client submission already has; a tampered body fails the
-	// transaction check.
+	// (checked right below, memoized), so relays between members carry
+	// no seal and a client's seal is not checked. A forged From can at
+	// most trigger one extra relay round (member relays are terminal),
+	// the same exposure an unattributed client submission already has;
+	// a tampered body fails the transaction check.
 	var req Request
 	if err := consensus.OpenUnverified(env, consensus.KindRequest, &req); err != nil {
 		return nil
@@ -498,7 +541,8 @@ func (e *Engine) onRequestEnv(now consensus.Time, env *consensus.Envelope) []con
 	if !e.com.IsMember(env.From) && !e.inViewChange {
 		// Direct client submission: relay to the committee (a relay
 		// from a fellow member is terminal — no re-broadcast loops).
-		relay := consensus.Seal(e.cfg.Key, &req)
+		// Unsealed: receivers check the transaction, not the relayer.
+		relay := consensus.Unsealed(e.cfg.Key, &req)
 		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: relay})
 	}
 	if e.IsPrimary() {
@@ -556,7 +600,7 @@ func (e *Engine) maybePropose(now consensus.Time, acts []consensus.Action) []con
 		}
 		env := consensus.Seal(e.cfg.Key, pp)
 		acts = append(acts, consensus.Broadcast{To: e.com.Others(e.self), Env: env})
-		acts = e.acceptPrePrepare(now, pp, env, acts)
+		acts = e.acceptPrePrepare(now, pp, env, nil, acts)
 	}
 	return acts
 }
@@ -578,7 +622,14 @@ func (e *Engine) buildAt(now consensus.Time, seq uint64) *types.Block {
 	// Exclude everything packed below seq — including executed blocks
 	// whose CommitBlock action has not been applied yet — because those
 	// transactions still sit in the pool.
-	return e.spec.BuildBlockOn(now, e.cfg.Era, e.view, seq, parent, e.exclusionRange(e.lowWater+1, seq))
+	from := e.lowWater + 1
+	packed := make([][]gcrypto.Hash, seq-from)
+	for s := from; s < seq; s++ {
+		if inst := e.insts[s]; inst != nil {
+			packed[s-from] = inst.ids()
+		}
+	}
+	return e.spec.BuildBlockOn(now, e.cfg.Era, e.view, seq, parent, packed)
 }
 
 // parentBlock returns the block occupying slot seq-1 if this replica
@@ -594,22 +645,25 @@ func (e *Engine) parentBlock(seq uint64) *types.Block {
 	return inst.block
 }
 
-// exclusionRange collects the tx IDs packed into retained blocks in
-// [from, seq): in-flight transactions stay pooled until their block is
-// applied, so speculative builders and validators must skip them
-// explicitly to keep every transaction exactly-once.
-func (e *Engine) exclusionRange(from, seq uint64) map[gcrypto.Hash]bool {
-	excl := make(map[gcrypto.Hash]bool)
-	for s := from; s < seq; s++ {
-		inst := e.insts[s]
-		if inst == nil || inst.block == nil {
-			continue
-		}
-		for i := range inst.block.Txs {
-			excl[inst.block.Txs[i].ID()] = true
+// repacksInFlight reports whether any of ids is already packed into a
+// retained block in [e.execNext, seq): in-flight transactions stay
+// pooled until their block is applied, so a proposal carrying one again
+// would execute it twice.
+func (e *Engine) repacksInFlight(ids []gcrypto.Hash, seq uint64) bool {
+	own := make(map[gcrypto.Hash]bool, len(ids))
+	for _, id := range ids {
+		own[id] = true
+	}
+	for s := e.execNext; s < seq; s++ {
+		if inst := e.insts[s]; inst != nil {
+			for _, id := range inst.ids() {
+				if own[id] {
+					return true
+				}
+			}
 		}
 	}
-	return excl
+	return false
 }
 
 func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []consensus.Action {
@@ -652,6 +706,7 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 		// (view, seq). Refuse; the progress timer will depose it.
 		return nil
 	}
+	var ids []gcrypto.Hash
 	if err := e.cfg.App.ValidateBlock(&pp.Block); err != nil {
 		// Not a child of the applied chain head. For a pipelined slot the
 		// real parent is the retained predecessor block — in flight, or
@@ -674,11 +729,9 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 		}
 		// Exactly-once across the window: refuse a proposal re-packing a
 		// transaction an in-flight ancestor already carries.
-		excl := e.exclusionRange(e.execNext, pp.Seq)
-		for i := range pp.Block.Txs {
-			if excl[pp.Block.Txs[i].ID()] {
-				return nil
-			}
+		ids = txIDs(&pp.Block)
+		if e.repacksInFlight(ids, pp.Seq) {
+			return nil
 		}
 	}
 	// Persist-before-send: if a previous incarnation already prepared a
@@ -689,7 +742,7 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 		return nil
 	}
 	var acts []consensus.Action
-	acts = e.acceptPrePrepare(now, &pp, env, acts)
+	acts = e.acceptPrePrepare(now, &pp, env, ids, acts)
 	// Accepting can complete the slot on the spot: recovered prepares
 	// and raced-ahead commits may already form certificates, and the
 	// resulting execution + checkpoint stabilization prunes the
@@ -707,8 +760,9 @@ func (e *Engine) onPrePrepare(now consensus.Time, env *consensus.Envelope) []con
 	return acts
 }
 
-// acceptPrePrepare installs the proposal into the instance log.
-func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, env *consensus.Envelope, acts []consensus.Action) []consensus.Action {
+// acceptPrePrepare installs the proposal into the instance log; ids are
+// the block's tx IDs when the caller already computed them, else nil.
+func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, env *consensus.Envelope, ids []gcrypto.Hash, acts []consensus.Action) []consensus.Action {
 	inst := e.insts[pp.Seq]
 	if inst == nil || inst.view != pp.View {
 		inst = newInstance(pp.View)
@@ -717,6 +771,7 @@ func (e *Engine) acceptPrePrepare(now consensus.Time, pp *PrePrepare, env *conse
 	inst.digest = pp.Digest
 	block := pp.Block
 	inst.block = &block
+	inst.txIDs = ids
 	inst.prePrepare = env
 	// Every accepted proposal gets its own deadline so an earlier slot's
 	// progress can never mask a primary stalling a later one.

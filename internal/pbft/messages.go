@@ -26,9 +26,9 @@ import (
 )
 
 // Request carries a client transaction to an endorser (and between
-// endorsers, when a backup forwards it to the primary). The client's
-// own signature lives inside the transaction; the envelope seal
-// authenticates the forwarder.
+// endorsers, when the entry replica relays it to the committee). The
+// client's own signature lives inside the transaction and is the only
+// thing receivers check, so relays travel unsealed (consensus.Unsealed).
 type Request struct {
 	Tx types.Transaction
 }

@@ -537,3 +537,39 @@ func TestWALOrdersParentPreparedBeforeChildCommit(t *testing.T) {
 		}
 	}
 }
+
+// TestBackupRefusesRepackedInFlightTx pins exactly-once packing across
+// the window on the validating side: a proposal that carries a
+// transaction its in-flight parent already packed is refused (no
+// prepare), while a sibling proposal with a fresh transaction is taken.
+func TestBackupRefusesRepackedInFlightTx(t *testing.T) {
+	prim := newUnitRig(t, 0).primaryPos()
+	r := newPipeRig(t, (prim+1)%4, 0, 0, nil, nil)
+	r.eng.Init(0)
+
+	blocks, envs := r.chainProposals(1)
+	if !containsSeq(prepareSeqs(t, r.eng.OnEnvelope(0, envs[0])), 1) {
+		t.Fatal("slot 1 proposal not accepted")
+	}
+	child := func(txs ...types.Transaction) *consensus.Envelope {
+		b := types.NewBlock(types.BlockHeader{
+			Height: 2, Era: 0, View: 0, Seq: 2,
+			PrevHash:  blocks[0].Hash(),
+			Proposer:  r.com.Primary(0),
+			Timestamp: epoch.Add(2 * time.Second),
+		}, txs)
+		return consensus.Seal(r.keys[r.primaryPos()], &pbft.PrePrepare{
+			Era: 0, View: 0, Seq: 2, Digest: b.Hash(), Block: *b,
+		})
+	}
+	repacked := child(*clientTx(7, 7), blocks[0].Txs[0])
+	if containsSeq(prepareSeqs(t, r.eng.OnEnvelope(0, repacked)), 2) {
+		t.Fatal("backup prepared a proposal re-packing its in-flight parent's transaction")
+	}
+	if used, _ := r.eng.InFlight(); used != 1 {
+		t.Fatalf("%d slots in flight after the refused proposal, want 1", used)
+	}
+	if !containsSeq(prepareSeqs(t, r.eng.OnEnvelope(0, child(*clientTx(7, 7)))), 2) {
+		t.Fatal("backup refused a child proposal with only fresh transactions")
+	}
+}

@@ -410,7 +410,7 @@ func (e *Engine) enterNewView(now consensus.Time, nv *NewView, acts []consensus.
 			// wait for prepares.
 			var pp PrePrepare
 			if consensus.Open(ppEnv, consensus.KindPrePrepare, &pp) == nil && pp.Seq >= e.execNext {
-				acts = e.acceptPrePrepare(now, &pp, ppEnv, acts)
+				acts = e.acceptPrePrepare(now, &pp, ppEnv, nil, acts)
 			}
 			continue
 		}

@@ -101,29 +101,43 @@ func (a *App) BuildBlock(now consensus.Time, era, view, seq uint64) *types.Block
 // BuildBlockOn implements pbft.SpeculativeApplication: assemble the
 // block at seq on top of an in-flight (uncommitted) parent. Proposed
 // transactions stay in the pool until their block is applied, so the
-// exclude set filters out everything already packed below seq.
+// IDs packed into the retained ancestors (packed[i] belongs to height
+// seq-len(packed)+i) are skipped.
 //
 // A speculative slot must carry a FULL base batch or nothing: every
 // block costs a fixed amount of per-node message processing, so eagerly
 // claiming extra slots for trickle-sized remainders multiplies rounds
 // without moving more transactions. The head slot (BuildBlock) stays
 // eager for latency; pipeline depth beyond it adapts to real backlog.
-func (a *App) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, exclude map[gcrypto.Hash]bool) *types.Block {
+// While the window is full every arriving request retries this build,
+// so whether a full base batch is free is settled by counting before
+// any transaction is copied.
+func (a *App) BuildBlockOn(now consensus.Time, era, view, seq uint64, parent *types.Block, packed [][]gcrypto.Hash) *types.Block {
 	if parent == nil || seq != parent.Header.Height+1 {
 		return nil
 	}
-	want := a.effectiveBatch()
-	peeked := a.pool.Peek(want + len(exclude))
-	txs := make([]types.Transaction, 0, want)
-	for i := range peeked {
-		if exclude[peeked[i].ID()] {
+	pending := a.pool.Len()
+	if pending < a.batch {
+		return nil
+	}
+	// Commit drops a block's transactions from the pool as it applies
+	// the block, so only ancestors above the applied head can shadow
+	// pending entries.
+	head := a.chain.Height()
+	base := seq - uint64(len(packed))
+	skip := make(map[gcrypto.Hash]bool)
+	for i, ids := range packed {
+		if base+uint64(i) <= head {
 			continue
 		}
-		txs = append(txs, peeked[i])
-		if len(txs) == want {
-			break
+		for _, id := range ids {
+			skip[id] = true
 		}
 	}
+	if pending-a.pool.CountPending(skip) < a.batch {
+		return nil
+	}
+	txs := a.pool.PeekSkipping(a.effectiveBatch(), skip)
 	if len(txs) < a.batch {
 		return nil
 	}

@@ -505,28 +505,39 @@ func (m *Mempool) qosForgetLocked(e poolEntry) {
 // weight: each scheduling cycle takes up to LaneWeights[l] of the
 // oldest transactions from lane l, control first, so overload in one
 // lane cannot starve the others.
-func (m *Mempool) Peek(n int) []types.Transaction {
+func (m *Mempool) Peek(n int) []types.Transaction { return m.PeekSkipping(n, nil) }
+
+// PeekSkipping returns what filtering Peek(n+len(skip)) by skip and
+// keeping the first n would: the first n transactions in Peek's order
+// whose ID is not in skip. Skipped entries are matched by the ID the
+// pool stored at admission, so they are neither re-hashed nor copied.
+func (m *Mempool) PeekSkipping(n int, skip map[gcrypto.Hash]bool) []types.Transaction {
 	if n <= 0 {
 		return nil
 	}
 	if m.qos != nil {
-		return m.peekLanes(n)
+		return m.peekLanes(n, skip)
 	}
 	type cursor struct {
 		entries []poolEntry
 		i       int
 	}
+	// The merged order is by admission ticket, so dropping skipped
+	// entries per shard before the merge equals dropping them after it.
 	cursors := make([]cursor, 0, len(m.shards))
 	for si := range m.shards {
 		s := &m.shards[si]
 		s.mu.Lock()
-		k := len(s.queue)
-		if k > n {
-			k = n // a shard can contribute at most n of the first n
+		snap := make([]poolEntry, 0, min(len(s.queue), n))
+		for _, e := range s.queue {
+			if len(snap) == n {
+				break // a shard can contribute at most n of the first n
+			}
+			if !skip[e.id] {
+				snap = append(snap, e)
+			}
 		}
-		if k > 0 {
-			snap := make([]poolEntry, k)
-			copy(snap, s.queue[:k])
+		if len(snap) > 0 {
 			cursors = append(cursors, cursor{entries: snap})
 		}
 		s.mu.Unlock()
@@ -554,19 +565,23 @@ func (m *Mempool) Peek(n int) []types.Transaction {
 
 // peekLanes is the QoS scheduler: per-lane snapshots merged by
 // admission ticket (age order inside each lane), then a weighted
-// round-robin across lanes in priority order.
-func (m *Mempool) peekLanes(n int) []types.Transaction {
+// round-robin across lanes in priority order. The schedule runs over
+// every entry, skipped ones included, and skipped entries are dropped
+// from its output, so the lane interleaving of what is returned does
+// not depend on skip.
+func (m *Mempool) peekLanes(n int, skip map[gcrypto.Hash]bool) []types.Transaction {
 	type cursor struct {
 		entries []poolEntry
 		i       int
 	}
+	limit := n + len(skip) // schedule length that holds the first n unskipped
 	var lanes [laneCount][]cursor
 	for si := range m.shards {
 		s := &m.shards[si]
 		s.mu.Lock()
 		var snaps [laneCount][]poolEntry
 		for _, e := range s.queue {
-			if len(snaps[e.lane]) < n {
+			if len(snaps[e.lane]) < limit {
 				snaps[e.lane] = append(snaps[e.lane], e)
 			}
 		}
@@ -581,7 +596,7 @@ func (m *Mempool) peekLanes(n int) []types.Transaction {
 	streams := make([][]poolEntry, laneCount)
 	for l := range lanes {
 		cursors := lanes[l]
-		for len(streams[l]) < n {
+		for len(streams[l]) < limit {
 			best := -1
 			for ci := range cursors {
 				c := &cursors[ci]
@@ -602,9 +617,11 @@ func (m *Mempool) peekLanes(n int) []types.Transaction {
 	w := m.qos.cfg.LaneWeights
 	out := make([]types.Transaction, 0, n)
 	idx := [laneCount]int{}
-	for len(out) < n {
+	scheduled := 0
+	more := func() bool { return len(out) < n && scheduled < limit }
+	for more() {
 		took := false
-		for l := 0; l < laneCount && len(out) < n; l++ {
+		for l := 0; l < laneCount && more(); l++ {
 			quota := w[l]
 			if quota <= 0 && idx[l] < len(streams[l]) {
 				quota = 1 // a zero weight still drains when others are empty
@@ -619,9 +636,12 @@ func (m *Mempool) peekLanes(n int) []types.Transaction {
 					continue
 				}
 			}
-			for k := 0; k < quota && idx[l] < len(streams[l]) && len(out) < n; k++ {
-				out = append(out, *streams[l][idx[l]].tx)
+			for k := 0; k < quota && idx[l] < len(streams[l]) && more(); k++ {
+				if e := &streams[l][idx[l]]; !skip[e.id] {
+					out = append(out, *e.tx)
+				}
 				idx[l]++
+				scheduled++
 				took = true
 			}
 		}
@@ -630,6 +650,17 @@ func (m *Mempool) peekLanes(n int) []types.Transaction {
 		}
 	}
 	return out
+}
+
+// CountPending reports how many of the given IDs are pending.
+func (m *Mempool) CountPending(ids map[gcrypto.Hash]bool) int {
+	n := 0
+	for id := range ids {
+		if m.Contains(id) {
+			n++
+		}
+	}
+	return n
 }
 
 // MarkCommitted removes the given transactions from the pool and

@@ -129,6 +129,9 @@ type SyncStats struct {
 	// Retries counts timed-out sync/head/snapshot requests that were
 	// re-issued (with backoff) to the same or a rotated peer.
 	Retries uint64
+	// LagPulls counts catch-ups started because an overheard commit
+	// showed this node behind the committee.
+	LagPulls uint64
 	// BlocksSynced counts blocks applied through the sync path (as
 	// opposed to ordinary consensus commits).
 	BlocksSynced uint64

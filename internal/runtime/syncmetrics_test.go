@@ -14,6 +14,7 @@ func TestSyncMetricsWritePrometheus(t *testing.T) {
 			SnapshotsRejected:  3,
 			SnapshotsServed:    5,
 			Retries:            2,
+			LagPulls:           6,
 		},
 		SnapshotsWritten: 7,
 		CompactedBytes:   4096,
@@ -28,6 +29,7 @@ func TestSyncMetricsWritePrometheus(t *testing.T) {
 		"gpbft_snapshot_rejected_total":  "3",
 		"gpbft_snapshot_served_total":    "5",
 		"gpbft_sync_retries_total":       "2",
+		"gpbft_sync_lag_pulls_total":     "6",
 		"gpbft_sync_blocks_total":        "42",
 		"gpbft_sync_mode":                "2",
 		"gpbft_compacted_bytes":          "4096",

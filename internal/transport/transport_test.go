@@ -338,11 +338,21 @@ func TestTCPClusterStatsAndPeerMove(t *testing.T) {
 	submitTx(1, "before-move")
 	waitHeight(1)
 
-	// Consensus traffic must show up in the stats of every endpoint.
+	// Consensus traffic must show up in the stats of every endpoint. A
+	// node commits as soon as it holds a quorum, which can be before its
+	// writer has flushed its own commit vote (QueueLen 1, FramesOut 0),
+	// so poll each endpoint until it shows traffic both ways.
+	statsDeadline := time.Now().Add(30 * time.Second)
 	for i, tp := range tcps {
-		s := tp.Stats()
-		if s.FramesIn == 0 || s.FramesOut == 0 || s.BytesIn == 0 || s.BytesOut == 0 {
-			t.Fatalf("node %d stats show no traffic after a commit: %+v", i, s)
+		for {
+			s := tp.Stats()
+			if s.FramesIn > 0 && s.FramesOut > 0 && s.BytesIn > 0 && s.BytesOut > 0 {
+				break
+			}
+			if time.Now().After(statsDeadline) {
+				t.Fatalf("node %d stats show no traffic after a commit: %+v", i, s)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
 
